@@ -12,7 +12,6 @@
 #include "baselines/compressed/cedar.hpp"
 #include "baselines/compressed/small_active_counter.hpp"
 #include "baselines/rcs/rcs_sketch.hpp"
-#include "baselines/sampling/space_saving.hpp"
 #include "baselines/vhc/virtual_hll.hpp"
 #include "cache/cache_table.hpp"
 #include "cache/set_probe.hpp"
@@ -20,12 +19,12 @@
 #include "common/aligned_buffer.hpp"
 #include "common/random.hpp"
 #include "core/caesar_sketch.hpp"
+#include "core/topk.hpp"
 #include "counters/counter_array.hpp"
 #include "counters/packed_counter_array.hpp"
 #include "hash/classic_hashes.hpp"
 #include "hash/index_selector.hpp"
 #include "hash/sha1.hpp"
-#include "hash/xxhash64.hpp"
 #include "trace/anonymize.hpp"
 #include "trace/flow_id.hpp"
 #include "trace/synthetic.hpp"
@@ -48,12 +47,6 @@ void BM_ApHash(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(hash::ap_hash(key));
 }
 BENCHMARK(BM_ApHash);
-
-void BM_Xxh64U64(benchmark::State& state) {
-  std::uint64_t i = 0;
-  for (auto _ : state) benchmark::DoNotOptimize(hash::xxh64_u64(++i, 7));
-}
-BENCHMARK(BM_Xxh64U64);
 
 void BM_KIndexSelect(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
@@ -310,9 +303,9 @@ void BM_CedarAdd(benchmark::State& state) {
 BENCHMARK(BM_CedarAdd);
 
 void BM_SpaceSavingAdd(benchmark::State& state) {
-  baselines::SpaceSaving ss(1024);
+  core::TopKTable ss(core::derive_topk(1024, false, 9));
   Xoshiro256pp rng(9);
-  for (auto _ : state) ss.add(rng.below(100'000));
+  for (auto _ : state) ss.offer(rng.below(100'000), 1);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SpaceSavingAdd);

@@ -4,9 +4,9 @@
 //   * a sketch backend chosen at runtime (--scheme caesar|rcs|case|
 //     countmin, via core::make_pipeline) measures per-flow sizes in
 //     fixed reporting intervals without ever pausing ingest,
-//   * SpaceSaving tracks heavy-hitter *candidates* online (CAESAR's
-//     offline query needs flow IDs to ask about; the top-k structure
-//     supplies them),
+//   * a Space-Saving table (core::TopKTable) tracks heavy-hitter
+//     *candidates* online (CAESAR's offline query needs flow IDs to ask
+//     about; the top-k structure supplies them),
 //   * estimate_flow_count() watches flow-cardinality spikes (scans),
 //   * a monitor thread serves live queries for the current watch flow
 //     while packets are still being ingested (query_live answers from
@@ -25,7 +25,7 @@
 //
 // With --topk N the streaming top-k sidecar is enabled on the backend:
 // heavy hitters come from the merged per-shard eviction-fed tables
-// (epoch->top_k — zero counters scanned) instead of the SpaceSaving
+// (epoch->top_k — zero counters scanned) instead of the Space-Saving
 // re-rank, and the endpoint additionally serves /topk.json.
 //
 // With --sample K the ground-truth sampling sidecar tracks K hash-
@@ -46,7 +46,6 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/sampling/space_saving.hpp"
 #include "cache/simd_dispatch.hpp"
 #include "common/build_info.hpp"
 #include "common/cli.hpp"
@@ -244,8 +243,8 @@ int main(int argc, char** argv) {
     const auto traffic =
         make_interval(seed + 100 * (e + 1), flows, ddos, scan);
 
-    baselines::SpaceSaving candidates(64);
-    for (FlowId f : traffic.packets) candidates.add(f);
+    core::TopKTable candidates(core::derive_topk(64, false, seed));
+    for (FlowId f : traffic.packets) candidates.offer(f, 1);
     mon.feed(traffic.packets);
     const std::uint64_t interval_seq = mon.rotate_live();
     // Ingest could keep streaming here; the report blocks only this
@@ -270,7 +269,7 @@ int main(int argc, char** argv) {
 
     // Heaviest flow of the interval: straight from the streaming top-k
     // tables when the sidecar is on (no counter scanned), otherwise by
-    // re-ranking the SpaceSaving candidates with the sketch estimates.
+    // re-ranking the Space-Saving candidates with the sketch estimates.
     double top_est = 0.0;
     FlowId top_flow = 0;
     if (caps.topk) {
@@ -280,7 +279,7 @@ int main(int argc, char** argv) {
         top_est = static_cast<double>(heavy[0].count);
       }
     } else {
-      for (const auto& entry : candidates.top()) {
+      for (const auto& entry : candidates.sorted_entries()) {
         const double est = epoch->estimate(entry.flow);
         if (est > top_est) {
           top_est = est;
@@ -392,7 +391,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(live_queries.load()));
   else
     std::printf("\n(top flows re-ranked by %.*s estimates from "
-                "SpaceSaving candidates; cardinality from linear "
+                "Space-Saving candidates; cardinality from linear "
                 "counting over the sketch; %llu live queries served "
                 "during ingest)\n",
                 static_cast<int>(caps.scheme.size()), caps.scheme.data(),

@@ -11,10 +11,6 @@
 //                        clamped to [1, 256] (default 64).
 // CAESAR_HUGEPAGES=1   — madvise(MADV_HUGEPAGE) the SRAM counter bank
 //                        (Linux only; a hint, never an error).
-// CAESAR_WORKER_SPIN   — idle drain passes a pipeline shard worker
-//                        spin-yields before parking on its futex
-//                        (default 64; 0 parks immediately). Overridden
-//                        by an explicit WorkerPacing::spin_iters.
 #pragma once
 
 #include <cstdint>

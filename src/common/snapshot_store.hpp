@@ -1,7 +1,7 @@
 // Epoch snapshot store — the publication point between a measurement
 // datapath and its concurrent readers.
 //
-// The live rotation pipeline (core/live_rotation.cpp) closes an epoch off
+// The live rotation pipeline (core/sharded_pipeline.hpp) closes an epoch off
 // the hot path and must hand the finished, immutable snapshot to query
 // threads without ever blocking the shard workers. This store is that
 // hand-off: a background finalizer publish()es snapshots in epoch order,
@@ -14,7 +14,7 @@
 // Snapshots are immutable once published (the store hands out
 // shared_ptr<const T> only through the caller's T being const or the
 // caller's discipline); retention is bounded by max_retained with the
-// oldest snapshot dropped first, exactly like EpochManager's history.
+// oldest snapshot dropped first (0 keeps every epoch).
 #pragma once
 
 #include <condition_variable>

@@ -116,15 +116,8 @@ std::string geometry_json(const baselines::CountMinConfig& c) {
 template <SketchBackend B>
 class PipelineWrapper final : public AnyPipeline {
  public:
-  PipelineWrapper(const typename B::Config& config, std::size_t shards,
-                  const WorkerPacing& pacing)
-      : pipeline_(config, shards) {
-    pipeline_.set_pacing(pacing);
-  }
-
-  void set_pacing(const WorkerPacing& pacing) override {
-    pipeline_.set_pacing(pacing);
-  }
+  PipelineWrapper(const typename B::Config& config, std::size_t shards)
+      : pipeline_(config, shards) {}
 
   std::string_view scheme() const noexcept override {
     return ShardedPipeline<B>::scheme();
@@ -252,8 +245,7 @@ std::unique_ptr<AnyPipeline> make_pipeline(std::string_view scheme,
     cfg.topk_capacity = tuning.topk_capacity;
     cfg.topk_rap = tuning.topk_rap;
     cfg.gt_sample_size = tuning.gt_sample_size;
-    return std::make_unique<PipelineWrapper<CaesarSketch>>(cfg, shards,
-                                                           tuning.pacing);
+    return std::make_unique<PipelineWrapper<CaesarSketch>>(cfg, shards);
   }
   if (scheme == baselines::RcsSketch::kSchemeName) {
     baselines::RcsConfig cfg;
@@ -264,8 +256,7 @@ std::unique_ptr<AnyPipeline> make_pipeline(std::string_view scheme,
     cfg.topk_capacity = tuning.topk_capacity;
     cfg.topk_rap = tuning.topk_rap;
     cfg.gt_sample_size = tuning.gt_sample_size;
-    return std::make_unique<PipelineWrapper<baselines::RcsSketch>>(
-        cfg, shards, tuning.pacing);
+    return std::make_unique<PipelineWrapper<baselines::RcsSketch>>(cfg, shards);
   }
   if (scheme == baselines::CaseSketch::kSchemeName) {
     baselines::CaseConfig cfg;
@@ -285,7 +276,7 @@ std::unique_ptr<AnyPipeline> make_pipeline(std::string_view scheme,
     cfg.topk_rap = tuning.topk_rap;
     cfg.gt_sample_size = tuning.gt_sample_size;
     return std::make_unique<PipelineWrapper<baselines::CaseSketch>>(
-        cfg, shards, tuning.pacing);
+        cfg, shards);
   }
   if (scheme == baselines::CountMinSketch::kSchemeName) {
     baselines::CountMinConfig cfg;
@@ -299,7 +290,7 @@ std::unique_ptr<AnyPipeline> make_pipeline(std::string_view scheme,
     cfg.topk_rap = tuning.topk_rap;
     cfg.gt_sample_size = tuning.gt_sample_size;
     return std::make_unique<PipelineWrapper<baselines::CountMinSketch>>(
-        cfg, shards, tuning.pacing);
+        cfg, shards);
   }
   std::string msg = "make_pipeline: unknown scheme \"";
   msg += scheme;

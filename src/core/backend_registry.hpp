@@ -60,10 +60,6 @@ struct SchemeTuning {
   /// error (0 = off). Maps one-to-one onto every backend's
   /// gt_sample_size.
   std::size_t gt_sample_size = 0;
-  /// Router/worker pacing defaults for the built pipeline (spin budget,
-  /// adaptive floor, staging chunk). Zeroed fields resolve through
-  /// CAESAR_WORKER_SPIN and the baked-in defaults — see WorkerPacing.
-  WorkerPacing pacing;
 };
 
 /// A type-erased closed epoch (ShardedSnapshot<S> behind a vtable).
@@ -108,10 +104,6 @@ class AnyPipeline {
   [[nodiscard]] virtual std::string_view scheme() const noexcept = 0;
   [[nodiscard]] virtual BackendCaps capabilities() const = 0;
   [[nodiscard]] virtual std::size_t shards() const noexcept = 0;
-
-  /// Re-tune router/worker pacing between sessions/batches (see
-  /// ShardedPipeline::set_pacing; throws std::logic_error mid-session).
-  virtual void set_pacing(const WorkerPacing& pacing) = 0;
 
   // Serial / batched ingest (outside a live session).
   virtual void add(FlowId flow) = 0;

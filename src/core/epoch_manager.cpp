@@ -86,31 +86,4 @@ EpochSnapshot CaesarSketch::finalize() const {
                        topk().snapshot(), ground_truth().snapshot());
 }
 
-EpochManager::EpochManager(const CaesarConfig& config, std::size_t max_epochs)
-    : config_(config), sketch_(config), max_epochs_(max_epochs) {}
-
-void EpochManager::add(FlowId flow) { sketch_.add(flow); }
-
-std::size_t EpochManager::rotate() {
-  sketch_.flush();
-  epochs_.emplace_back(sketch_.sram(), sketch_.estimator_params(), config_,
-                       sketch_.topk().snapshot(),
-                       sketch_.ground_truth().snapshot());
-  if (max_epochs_ > 0 && epochs_.size() > max_epochs_)
-    epochs_.erase(epochs_.begin());
-
-  // Fresh sketch for the next window: same geometry, same hash mapping
-  // (the seed is preserved so per-flow counters stay comparable across
-  // epochs), fresh counters.
-  ++epoch_counter_;
-  sketch_ = CaesarSketch(config_);
-  return epochs_.size() - 1;
-}
-
-double EpochManager::estimate_csm_total(FlowId flow) const {
-  double total = 0.0;
-  for (const auto& epoch : epochs_) total += epoch.estimate_csm(flow);
-  return total;
-}
-
 }  // namespace caesar::core

@@ -1,10 +1,11 @@
-// Epoch management — continuous measurement as a sequence of bounded
-// measurement windows. The paper's construction/query split assumes one
-// finite measurement ("at the end of the measurement, we dump all the
-// cache entries"); real deployments measure forever and report per
-// interval. EpochManager rotates the sketch: closing an epoch flushes the
-// cache, snapshots the SRAM state (the offline-queryable artifact) and
-// resets the counters for the next window.
+// Closed epochs — the offline-queryable artifact of a measurement
+// window. The paper's construction/query split assumes one finite
+// measurement ("at the end of the measurement, we dump all the cache
+// entries"); real deployments measure forever and report per interval.
+// Closing an epoch flushes the cache and snapshots the SRAM state
+// (CaesarSketch::finalize()); ShardedPipeline::rotate()/rotate_live()
+// close epochs of the sharded datapath and retain them in a
+// SnapshotStore.
 #pragma once
 
 #include <cstdint>
@@ -91,54 +92,5 @@ class EpochSnapshot {
 /// The CSM/MLM query surface survives via ShardedSnapshot's constrained
 /// forwards.
 using ShardedEpochSnapshot = ShardedSnapshot<EpochSnapshot>;
-
-class EpochManager {
- public:
-  /// `max_epochs` bounds the retained history (oldest snapshots are
-  /// discarded); 0 keeps everything.
-  EpochManager(const CaesarConfig& config, std::size_t max_epochs = 0);
-
-  /// Account one packet in the current epoch.
-  void add(FlowId flow);
-
-  /// Close the current epoch: flush, snapshot, reset. Returns the index
-  /// of the new snapshot within epochs().
-  std::size_t rotate();
-
-  [[nodiscard]] const std::vector<EpochSnapshot>& epochs() const noexcept {
-    return epochs_;
-  }
-  /// Packets accounted in the (open) current epoch.
-  [[nodiscard]] Count current_packets() const noexcept {
-    return sketch_.packets();
-  }
-  [[nodiscard]] const CaesarSketch& current() const noexcept {
-    return sketch_;
-  }
-  /// Epochs closed over the manager's lifetime (>= epochs().size() once
-  /// retention starts evicting).
-  [[nodiscard]] std::uint64_t epochs_closed() const noexcept {
-    return epoch_counter_;
-  }
-  /// Lifetime sequence number of epochs().front() — epochs evicted by
-  /// the retention bound keep their numbering.
-  [[nodiscard]] std::uint64_t first_epoch_seq() const noexcept {
-    return epoch_counter_ - epochs_.size();
-  }
-
-  /// Sum of a flow's CSM estimates across all retained epochs — the
-  /// long-horizon size of a persistent flow. Sums the clamped per-epoch
-  /// estimates: a flow absent from an epoch contributes ~0 instead of a
-  /// negative noise term, so the total cannot drift below zero as the
-  /// retained history grows.
-  [[nodiscard]] double estimate_csm_total(FlowId flow) const;
-
- private:
-  CaesarConfig config_;
-  CaesarSketch sketch_;
-  std::vector<EpochSnapshot> epochs_;
-  std::size_t max_epochs_;
-  std::uint64_t epoch_counter_ = 0;
-};
 
 }  // namespace caesar::core

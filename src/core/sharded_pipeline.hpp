@@ -4,12 +4,16 @@
 // Flows are partitioned by a hash of the flow ID into S independent
 // backend shards. Because every packet of a flow lands in exactly one
 // shard, per-flow queries route to a single shard and no cross-shard
-// merging is needed. add_parallel() ingests a packet batch with a
-// streaming pipeline: the calling thread routes packets into per-shard
-// SPSC rings while shard workers consume them concurrently through the
-// backend's batched ingest fast path. The single router preserves the
-// batch order within every shard, so every counter value is
-// bit-identical to a sequential run (verified by the tests).
+// merging is needed.
+//
+// One worker protocol serves both ingest modes. A worker set is one SPSC
+// ring per shard, one eventcount per worker, the router's per-shard
+// staging buffers and the worker threads; every ring is drained by one
+// worker loop. A live session (start_live/feed/rotate_live/stop_live)
+// keeps a set open between start_live() and stop_live(); add_parallel()
+// opens one for a single batch, routes it, and joins. The single router
+// preserves the batch order within every shard, so every counter value
+// is bit-identical to a sequential run (verified by the tests).
 //
 // Contention discipline (docs/PERFORMANCE.md "The sharded pipeline
 // contention model" carries the full write-up):
@@ -20,11 +24,11 @@
 //     (and cacheline) traffic is per *batch*, never per packet.
 //   * Workers run a bounded spin -> park protocol on a per-worker
 //     EventCount (futex-backed): a configurable number of idle passes
-//     (CAESAR_WORKER_SPIN / WorkerPacing) spin-yield, then the worker
-//     parks in the kernel. The spin budget adapts — it halves after
-//     every unproductive park (an idle stream converges to park-fast)
-//     and restores on work. The router's notify() after a push is one
-//     relaxed load unless a worker is actually parked.
+//     (WorkerPacing) spin-yield, then the worker parks in the kernel.
+//     The spin budget adapts — it halves after every unproductive park
+//     (an idle stream converges to park-fast) and restores on work. The
+//     router's notify() after a push is one relaxed load unless a worker
+//     is actually parked.
 //   * Epoch markers ride the same push + notify protocol, so a marker
 //     can never livelock against a parked worker.
 //   * On hosts without enough cores to run router and workers in
@@ -34,13 +38,11 @@
 //     bit-identical, and strictly faster than the per-packet loop it
 //     replaces.
 //
-// Live epoch rotation (start_live/feed/rotate_live) keeps the pipeline
-// resident: persistent shard workers consume from per-shard SPSC rings
-// while rotate_live() injects an in-band epoch marker into every ring.
-// Each worker, on popping the marker, hands its shard's backend to a
-// background finalizer (which flushes it in bounded chunks, finalize()s
-// it and publishes an immutable ShardedSnapshot) and swaps in a
-// pre-built standby — the ingest thread stalls only for the marker
+// Live epoch rotation: rotate_live() injects an in-band epoch marker
+// into every ring. Each worker, on popping the marker, hands its shard's
+// backend to a background finalizer (which flushes it in bounded chunks,
+// finalize()s it and publishes an immutable ShardedSnapshot) and swaps
+// in a pre-built standby — the ingest thread stalls only for the marker
 // pushes, never for the flush. Queries (query_live / snapshot_epoch /
 // wait_epoch) read published snapshots through a SnapshotStore and
 // never block the workers. Because markers travel the same FIFO rings
@@ -55,15 +57,12 @@
 // instruments (cache.*, sram.*, spill.*, ...) are accumulated into a
 // per-shard archive after its final flush, and collect_metrics() folds
 // the archive into the live backend's tree — so shardN.cache.packets
-// counts the whole session, not just the epoch currently open
-// (regression: live-session datapath metrics used to read 0 after the
-// first rotation while pipeline.packets_routed kept counting).
+// counts the whole session, not just the epoch currently open.
 //
-// This file preserves the bit-identity contract of the pre-refactor
-// implementation: same per-shard seed derivation, same RNG and eviction
-// ordering, and FIFO routing per shard. CAESAR results through
-// ShardedPipeline<CaesarSketch> match the golden pins bit for bit
-// (DESIGN.md "The backend bit-identity contract").
+// CAESAR results through ShardedPipeline<CaesarSketch> match the golden
+// pins bit for bit: same per-shard seed derivation, same RNG and
+// eviction ordering, and FIFO routing per shard (DESIGN.md "The backend
+// bit-identity contract").
 #pragma once
 
 #include <algorithm>
@@ -82,7 +81,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/eventcount.hpp"
 #include "common/metrics.hpp"
 #include "common/snapshot_store.hpp"
@@ -94,13 +92,10 @@
 namespace caesar::core {
 
 /// Spin/park and routing-granularity knobs shared by add_parallel() and
-/// live sessions. Every field uses 0 as "resolve a default": the
-/// explicit value wins, else the CAESAR_WORKER_SPIN environment knob
-/// (spin_iters only), else the baked-in default.
+/// live sessions. Every field uses 0 as "use the default".
 struct WorkerPacing {
   /// Idle drain passes a worker spin-yields before parking on its
-  /// futex. 0 = CAESAR_WORKER_SPIN if set, else 64. (An explicit env
-  /// value of 0 parks immediately.)
+  /// futex. 0 = 64.
   std::size_t spin_iters = 0;
   /// Adaptive floor: the spin budget halves after every unproductive
   /// park but never below this. 0 = 4.
@@ -198,14 +193,16 @@ class ShardedPipeline {
     shards_[shard_of(flow)].ingest(flow);
   }
 
-  /// Parallel ingest of a packet batch: this thread routes packets to
-  /// per-shard lock-free queues while up to `threads` workers consume
-  /// them concurrently (deterministic, identical to sequential ingest).
-  /// threads == 0 picks the shard count; the effective worker count is
-  /// additionally capped by the host's core count — spawning more
-  /// workers than cores only adds coherence and scheduler traffic, and
-  /// on a single-core host the batch runs through the inline radix path
-  /// instead (bit-identical, no threads).
+  /// Parallel ingest of a packet batch: this thread routes packets into
+  /// the shard rings while up to `threads` workers consume them
+  /// concurrently (deterministic, identical to sequential ingest). It
+  /// opens one worker set — the protocol a live session runs — and joins
+  /// it before returning; no finalizer runs and the snapshot store is
+  /// untouched. threads == 0 picks the shard count; the effective worker
+  /// count is additionally capped by the host's core count — spawning
+  /// more workers than cores only adds coherence and scheduler traffic,
+  /// and on a single-core host the batch runs through the inline radix
+  /// path instead (bit-identical, no threads).
   void add_parallel(std::span<const FlowId> flows,
                     std::size_t threads = 0) {
     if (live_)
@@ -221,82 +218,12 @@ class ShardedPipeline {
       add_inline(flows);
       return;
     }
-    // Streaming pipeline: this thread routes packets into one SPSC ring
-    // per shard while `threads` workers consume them concurrently
-    // through the batched ingest fast path — routing and shard
-    // processing overlap instead of being separated by a
-    // radix-partition barrier. The single router preserves batch order
-    // within every shard, and ingest_batch() is bit-identical to
-    // per-packet ingest, so the final counters match a sequential run
-    // exactly.
     parallel_batches_.inc();
-    constexpr std::size_t kRingCapacity = 8192;
-    constexpr std::size_t kWorkerChunk = 2048;  // worker-side pop batch
-    const ResolvedPacing pace = resolve_pacing(pacing_);
-
-    std::vector<std::unique_ptr<SpscRing<FlowId>>> rings;
-    rings.reserve(num_shards);
-    for (std::size_t s = 0; s < num_shards; ++s)
-      rings.push_back(std::make_unique<SpscRing<FlowId>>(kRingCapacity));
-    std::vector<std::unique_ptr<EventCount>> wakeups;
-    wakeups.reserve(threads);
-    for (std::size_t w = 0; w < threads; ++w)
-      wakeups.push_back(std::make_unique<EventCount>());
-    std::atomic<bool> done{false};
-
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (std::size_t w = 0; w < threads; ++w) {
-      workers.emplace_back([this, &rings, &wakeups, &done, w, threads,
-                            num_shards, pace] {
-        std::vector<FlowId> buf(kWorkerChunk);
-        const auto drain_pass = [&] {
-          bool any = false;
-          for (std::size_t s = w; s < num_shards; s += threads) {
-            const std::size_t n =
-                rings[s]->try_pop_bulk(std::span<FlowId>(buf));
-            if (n > 0) {
-              tracing::TraceSpan span("pipeline.pop_batch");
-              span.arg(n);
-              shards_[s].ingest_batch(
-                  std::span<const FlowId>(buf.data(), n));
-              ingest_metrics_[s].worker_batches.inc();
-              ingest_metrics_[s].batch_size.record(n);
-              any = true;
-            }
-          }
-          return any;
-        };
-        const auto is_done = [&] {
-          return done.load(std::memory_order_acquire);
-        };
-        worker_run(drain_pass, is_done, *wakeups[w], pace);
-        for (std::size_t s = w; s < num_shards; s += threads)
-          shards_[s].drain_pending();
-      });
-    }
-
-    // Radix-scatter routing: hash a chunk, scatter into per-shard
-    // staging, bulk-push full stagings (with a wake on every push).
-    std::vector<std::vector<FlowId>> staged(num_shards);
-    for (auto& b : staged) b.reserve(pace.route_chunk);
-    route_batch(
-        flows, staged, pace,
-        [](FlowId f) { return f; },
-        [&](std::size_t s, std::span<const FlowId> pending) {
-          push_all(*rings[s], *wakeups[s % threads], pending);
-        });
-    done.store(true, std::memory_order_release);
-    for (auto& ec : wakeups) ec->notify();
-    for (auto& worker : workers) worker.join();
-    // The rings die with this call; fold their backpressure counts and
-    // occupancy histograms into the aggregates first (workers have
-    // joined, so the reads are exact).
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      ingest_metrics_[s].ring_backpressure.add(
-          rings[s]->push_backpressure());
-      contention_.ring_occupancy.merge(rings[s]->push_occupancy());
-    }
+    WorkerSet workers;
+    open_workers(workers, threads, LiveOptions{}.ring_capacity,
+                 resolve_pacing(pacing_));
+    route(workers, flows);
+    stop_workers(workers);
   }
 
   void flush() {
@@ -304,8 +231,8 @@ class ShardedPipeline {
   }
 
   // --- live epoch rotation ----------------------------------------------
-  // A live session turns the per-call streaming pipeline into a
-  // resident one. feed() and rotate_live() must be called from the
+  // A live session keeps a worker set open between start_live() and
+  // stop_live(). feed() and rotate_live() must be called from the
   // thread that called start_live() (it is the single producer of every
   // ring); the query API below may be called from any number of other
   // threads.
@@ -322,191 +249,40 @@ class ShardedPipeline {
           "ShardedPipeline::start_live: ring_capacity must be nonzero");
     const std::size_t num_shards = shards_.size();
     auto st = std::make_unique<LiveState>();
-    st->options = options;
-    if (st->options.flush_chunk == 0) st->options.flush_chunk = 1;
-    st->threads = options.threads == 0
-                      ? std::min(num_shards, useful_workers())
-                      : std::min(options.threads, num_shards);
+    st->flush_chunk = std::max<std::size_t>(options.flush_chunk, 1);
+    const std::size_t threads =
+        options.threads == 0 ? std::min(num_shards, useful_workers())
+                             : std::min(options.threads, num_shards);
     // Session pacing: explicit LiveOptions fields win over the
     // pipeline-level defaults field by field.
     WorkerPacing merged = pacing_;
-    if (options.pacing.spin_iters) merged.spin_iters = options.pacing.spin_iters;
-    if (options.pacing.spin_floor) merged.spin_floor = options.pacing.spin_floor;
-    if (options.pacing.route_chunk) merged.route_chunk = options.pacing.route_chunk;
-    st->pace = resolve_pacing(merged);
-    st->rings.reserve(num_shards);
+    if (options.pacing.spin_iters)
+      merged.spin_iters = options.pacing.spin_iters;
+    if (options.pacing.spin_floor)
+      merged.spin_floor = options.pacing.spin_floor;
+    if (options.pacing.route_chunk)
+      merged.route_chunk = options.pacing.route_chunk;
     st->standby.reserve(num_shards);
-    st->staged.resize(num_shards);
     for (std::size_t s = 0; s < num_shards; ++s) {
-      st->rings.push_back(
-          std::make_unique<SpscRing<LiveItem>>(options.ring_capacity));
       auto slot = std::make_unique<StandbySlot>();
       slot->sketch = std::make_unique<B>(shard_configs_[s]);
       st->standby.push_back(std::move(slot));
-      st->staged[s].reserve(st->pace.route_chunk);
     }
-    st->wakeups.reserve(st->threads);
-    for (std::size_t w = 0; w < st->threads; ++w)
-      st->wakeups.push_back(std::make_unique<EventCount>());
     st->next_marker_seq = store_.published();
     store_.set_retention(options.max_epochs);
     store_.open();
 
-    LiveState* state = st.get();
+    LiveState& state = *st;
     live_ = std::move(st);
-
-    state->finalizer = std::thread([this, state] {
-      const std::size_t shards = shards_.size();
-      // Per-epoch reassembly: a slot per shard, published when
-      // complete. Markers reach shard s in rotation order and the
-      // finalizer pops in arrival order, so epochs complete (and
-      // publish) in sequence.
-      std::map<std::uint64_t, std::vector<std::unique_ptr<B>>> pending;
-      std::map<std::uint64_t, std::size_t> arrived;
-      for (;;) {
-        ClosedShard item;
-        {
-          std::unique_lock<std::mutex> lock(state->fq_mu);
-          state->fq_cv.wait(
-              lock, [&] { return !state->fq.empty() || state->fq_done; });
-          if (state->fq.empty()) break;  // fq_done and drained
-          item = std::move(state->fq.front());
-          state->fq.pop_front();
-        }
-        // Refill this shard's standby first: the next rotation should
-        // find a prebuilt backend even while we are still flushing this
-        // one.
-        {
-          auto& slot = *state->standby[item.shard];
-          std::lock_guard<std::mutex> lock(slot.mu);
-          if (!slot.sketch)
-            slot.sketch = std::make_unique<B>(shard_configs_[item.shard]);
-        }
-        auto& epoch_shards = pending[item.seq];
-        if (epoch_shards.empty()) epoch_shards.resize(shards);
-        epoch_shards[item.shard] = std::move(item.sketch);
-        if (++arrived[item.seq] < shards) continue;
-
-        // Epoch complete: flush every shard in bounded chunks
-        // (reporting backlog between steps), finalize, publish. The
-        // flushed backend's instruments are archived before it dies —
-        // the session's shardN.* datapath metrics must keep counting
-        // across rotations.
-        tracing::TraceSpan finalize_span("live.finalize_epoch");
-        finalize_span.arg(item.seq);
-        std::vector<ShardSnapshot> snaps;
-        snaps.reserve(shards);
-        for (std::size_t sh = 0; sh < shards; ++sh) {
-          auto& sketch = epoch_shards[sh];
-          std::size_t remaining;
-          do {
-            remaining = sketch->flush_chunk(state->options.flush_chunk);
-            live_metrics_.flush_backlog.set(remaining);
-          } while (remaining > 0);
-          snaps.push_back(sketch->finalize());
-          retire_shard_metrics(sh, *sketch);
-        }
-        auto snap = std::make_shared<const Epoch>(item.seq, route_seed_,
-                                                  std::move(snaps));
-        store_.publish(snap);
-        record_accuracy(*snap);
-        live_metrics_.rotations.inc();
-        live_metrics_.snapshots_retained.set(store_.retained());
-        if constexpr (metrics::kEnabled || tracing::kEnabled) {
-          clock_type::time_point t0;
-          {
-            std::lock_guard<std::mutex> lock(state->fq_mu);
-            t0 = state->marker_times[item.seq];
-            state->marker_times.erase(item.seq);
-          }
-          const std::uint64_t us = elapsed_us(t0);
-          live_metrics_.rotation_latency_us.record(us);
-          if (tracing::active()) {
-            // The marker was injected on the ingest thread; reconstruct
-            // the span end-anchored so it lands on this (finalizer)
-            // timeline.
-            const std::uint64_t end = tracing::now_ns();
-            tracing::emit("live.rotation_latency", end - us * 1000, end,
-                          item.seq);
-          }
-        }
-        pending.erase(item.seq);
-        arrived.erase(item.seq);
-      }
-    });
-
-    for (std::size_t w = 0; w < state->threads; ++w) {
-      state->workers.emplace_back([this, state, w] {
-        const std::size_t threads = state->threads;
-        const std::size_t num_shards_w = shards_.size();
-        std::vector<LiveItem> buf(kLiveWorkerChunk);
-        std::vector<FlowId> batch;
-        batch.reserve(kLiveWorkerChunk);
-
-        const auto rotate_shard = [&](std::size_t s, std::uint64_t seq) {
-          std::unique_ptr<B> fresh;
-          {
-            auto& slot = *state->standby[s];
-            std::lock_guard<std::mutex> lock(slot.mu);
-            fresh = std::move(slot.sketch);
-          }
-          if (!fresh) {
-            // Rotation outpaced the finalizer's refill: build inline
-            // (the stall the standby_miss series flags).
-            live_metrics_.standby_miss.inc();
-            fresh = std::make_unique<B>(shard_configs_[s]);
-          }
-          auto closed = std::make_unique<B>(std::move(shards_[s]));
-          shards_[s] = std::move(*fresh);
-          {
-            std::lock_guard<std::mutex> lock(state->fq_mu);
-            state->fq.push_back(ClosedShard{seq, s, std::move(closed)});
-          }
-          state->fq_cv.notify_one();
-        };
-
-        const auto process_items = [&](std::size_t s,
-                                       std::span<const LiveItem> items) {
-          batch.clear();
-          for (const auto& item : items) {
-            if (item.marker_seq_plus_1 == 0) {
-              batch.push_back(item.flow);
-              continue;
-            }
-            // Packets before the marker close out the current epoch.
-            if (!batch.empty()) {
-              shards_[s].ingest_batch(batch);
-              batch.clear();
-            }
-            rotate_shard(s, item.marker_seq_plus_1 - 1);
-          }
-          if (!batch.empty()) shards_[s].ingest_batch(batch);
-        };
-
-        const auto drain_pass = [&] {
-          bool any = false;
-          for (std::size_t s = w; s < num_shards_w; s += threads) {
-            const std::size_t n =
-                state->rings[s]->try_pop_bulk(std::span<LiveItem>(buf));
-            if (n > 0) {
-              tracing::TraceSpan span("live.pop_batch");
-              span.arg(n);
-              process_items(s,
-                            std::span<const LiveItem>(buf.data(), n));
-              ingest_metrics_[s].worker_batches.inc();
-              ingest_metrics_[s].batch_size.record(n);
-              any = true;
-            }
-          }
-          return any;
-        };
-        const auto is_done = [&] {
-          return state->ingest_done.load(std::memory_order_acquire);
-        };
-        worker_run(drain_pass, is_done, *state->wakeups[w], state->pace);
-        for (std::size_t s = w; s < num_shards_w; s += threads)
-          shards_[s].drain_pending();
-      });
+    try {
+      state.finalizer = std::thread([this, &state] { finalizer_loop(state); });
+      open_workers(state.workers, threads, options.ring_capacity,
+                   resolve_pacing(merged));
+    } catch (...) {
+      stop_finalizer(state);
+      store_.close();
+      live_.reset();
+      throw;
     }
   }
 
@@ -516,26 +292,19 @@ class ShardedPipeline {
   void feed(std::span<const FlowId> flows) {
     if (!live_)
       throw std::logic_error("ShardedPipeline::feed: no live session");
-    LiveState* st = live_.get();
     live_metrics_.packets_fed.add(flows.size());
-    route_batch(
-        flows, st->staged, st->pace,
-        [](FlowId f) { return LiveItem{f, 0}; },
-        [&](std::size_t s, std::span<const LiveItem> pending) {
-          push_all(*st->rings[s], *st->wakeups[s % st->threads], pending);
-        });
-    // route_batch leaves nothing staged: when feed() returns, every
-    // packet is in its ring and a following rotate_live() marker cannot
+    route(live_->workers, flows);
+    // route() leaves nothing staged: when feed() returns, every packet
+    // is in its ring and a following rotate_live() marker cannot
     // overtake it.
   }
 
-  /// Close the current epoch *without stopping ingest*: flushes the
-  /// router staging buffers, then pushes an epoch marker into every
-  /// shard ring. Each worker swaps in its standby backend at the
-  /// marker; the closed backends are flushed and published by the
-  /// finalizer. Returns the epoch's sequence number (pass to
-  /// snapshot_epoch / wait_epoch). The caller stalls only for the
-  /// marker pushes.
+  /// Close the current epoch *without stopping ingest*: pushes an epoch
+  /// marker into every shard ring. Each worker swaps in its standby
+  /// backend at the marker; the closed backends are flushed and
+  /// published by the finalizer. Returns the epoch's sequence number
+  /// (pass to snapshot_epoch / wait_epoch). The caller stalls only for
+  /// the marker pushes.
   std::uint64_t rotate_live() {
     if (!live_)
       throw std::logic_error(
@@ -555,10 +324,8 @@ class ShardedPipeline {
     // ring wakes the (possibly parked) owning worker instead of bare
     // spinning against it.
     const LiveItem marker{0, seq + 1};
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      push_all(*st->rings[s], *st->wakeups[s % st->threads],
-               std::span<const LiveItem>(&marker, 1));
-    }
+    for (std::size_t s = 0; s < shards_.size(); ++s)
+      push_all(st->workers, s, std::span<const LiveItem>(&marker, 1));
     live_metrics_.rotate_call_us.record(elapsed_us(t0));
     return seq;
   }
@@ -569,23 +336,8 @@ class ShardedPipeline {
   /// work as usual afterwards. No-op when no session is active.
   void stop_live() {
     if (!live_) return;
-    LiveState* st = live_.get();
-    st->ingest_done.store(true, std::memory_order_release);
-    for (auto& ec : st->wakeups) ec->notify();
-    for (auto& worker : st->workers) worker.join();
-    {
-      std::lock_guard<std::mutex> lock(st->fq_mu);
-      st->fq_done = true;
-    }
-    st->fq_cv.notify_all();
-    st->finalizer.join();
-    // The rings die with the session; fold their backpressure counts
-    // and occupancy histograms into the session aggregates first (all
-    // threads have joined, so the reads are exact).
-    for (const auto& ring : st->rings) {
-      live_metrics_.ring_backpressure.add(ring->push_backpressure());
-      contention_.ring_occupancy.merge(ring->push_occupancy());
-    }
+    live_metrics_.ring_backpressure.add(stop_workers(live_->workers));
+    stop_finalizer(*live_);
     store_.close();
     live_.reset();
   }
@@ -853,9 +605,9 @@ class ShardedPipeline {
     snapshot.add_histogram(prefix + "pipeline.ring_occupancy" + label,
                            contention_.ring_occupancy);
     // Live rotation series. All instruments are relaxed atomics, so the
-    // roll-up is race-free mid-session; ring backpressure is folded in
-    // at stop_live(), so it (alone) is exact only after the session
-    // ends.
+    // roll-up is race-free mid-session. Ring backpressure (here and in
+    // pipeline.ring_backpressure) is folded in when a worker set stops,
+    // so it is exact only after stop_live() or add_parallel() returns.
     snapshot.add_counter(prefix + "live.rotations" + label,
                          live_metrics_.rotations);
     snapshot.add_counter(prefix + "live.standby_miss" + label,
@@ -879,7 +631,7 @@ class ShardedPipeline {
  protected:
   using clock_type = std::chrono::steady_clock;
 
-  static constexpr std::size_t kLiveWorkerChunk = 2048;  ///< pop batch
+  static constexpr std::size_t kWorkerChunk = 2048;  ///< pop batch
   static constexpr std::size_t kScatterChunk = 512;  ///< router hash pass
   static constexpr std::size_t kDefaultRouteChunk = 256;
   static constexpr std::size_t kInlineStaging = 2048;  ///< inline path
@@ -895,13 +647,7 @@ class ShardedPipeline {
 
   static ResolvedPacing resolve_pacing(const WorkerPacing& p) {
     ResolvedPacing r;
-    if (p.spin_iters != 0) {
-      r.spin_iters = p.spin_iters;
-    } else if (const auto env = env_u64("CAESAR_WORKER_SPIN")) {
-      r.spin_iters = static_cast<std::size_t>(*env);
-    } else {
-      r.spin_iters = kDefaultSpinIters;
-    }
+    r.spin_iters = p.spin_iters != 0 ? p.spin_iters : kDefaultSpinIters;
     r.spin_floor = p.spin_floor != 0 ? p.spin_floor : kDefaultSpinFloor;
     if (r.spin_floor > r.spin_iters) r.spin_floor = r.spin_iters;
     r.route_chunk =
@@ -925,15 +671,166 @@ class ShardedPipeline {
             .count());
   }
 
-  /// The worker idle protocol: drain while productive, spin-yield for
-  /// the (adaptive) budget, then park on the worker's eventcount until
-  /// the router's notify. The budget halves after every unproductive
-  /// park and restores to the configured value on work, so an idle
-  /// stream converges to park-fast while a bursty one keeps spinning
-  /// through the gaps.
-  template <typename DrainPass, typename IsDone>
-  void worker_run(DrainPass&& drain_pass, IsDone&& is_done,
-                  EventCount& wakeup, const ResolvedPacing& pace) {
+  /// One ring element: a packet, or an epoch marker sequencing a
+  /// rotation.
+  struct LiveItem {
+    FlowId flow = 0;
+    std::uint64_t marker_seq_plus_1 = 0;  ///< 0 = packet, else seq + 1
+  };
+
+  /// The shard workers and what they share with the router: one SPSC
+  /// ring per shard, one eventcount per worker, the router-side staging
+  /// buffers and the stop flag. Worker w owns shards w, w + threads, ...
+  /// Opened by open_workers(), retired by stop_workers(); worker threads
+  /// hold its address, so it never moves.
+  struct WorkerSet {
+    ResolvedPacing pace{};
+    std::size_t threads = 0;
+    std::vector<std::unique_ptr<SpscRing<LiveItem>>> rings;
+    std::vector<std::unique_ptr<EventCount>> wakeups;  ///< per worker
+    std::vector<std::vector<LiveItem>> staged;  ///< router-side staging
+    std::atomic<bool> ingest_done{false};
+    std::vector<std::thread> workers;
+  };
+
+  /// A shard backend handed from its worker to the finalizer at a
+  /// marker.
+  struct ClosedShard {
+    std::uint64_t seq = 0;
+    std::size_t shard = 0;
+    std::unique_ptr<B> sketch;
+  };
+
+  /// Pre-built fresh backend for one shard's next epoch. The worker
+  /// takes it at a marker; the finalizer refills it off the hot path.
+  /// The mutex is uncontended except in the instant of a rotation.
+  struct StandbySlot {
+    std::mutex mu;
+    std::unique_ptr<B> sketch;
+  };
+
+  /// A live session: the standby backends and the worker -> finalizer
+  /// hand-off around one open worker set.
+  struct LiveState {
+    std::size_t flush_chunk = 1;  ///< finalizer flush budget per step
+    std::vector<std::unique_ptr<StandbySlot>> standby;
+
+    // Worker -> finalizer hand-off queue.
+    std::mutex fq_mu;
+    std::condition_variable fq_cv;
+    std::deque<ClosedShard> fq;
+    bool fq_done = false;
+
+    /// Marker-injection timestamps for the rotation-latency series
+    /// (guarded by fq_mu; only touched when metrics are enabled).
+    std::map<std::uint64_t, clock_type::time_point> marker_times;
+
+    std::uint64_t next_marker_seq = 0;  ///< router thread only
+
+    WorkerSet workers;
+    std::thread finalizer;
+  };
+
+  /// Build the rings and spawn `threads` workers running worker_loop().
+  /// If a spawn fails, the workers already started are stopped and
+  /// joined before the exception propagates.
+  void open_workers(WorkerSet& ws, std::size_t threads,
+                    std::size_t ring_capacity, const ResolvedPacing& pace) {
+    const std::size_t num_shards = shards_.size();
+    ws.pace = pace;
+    ws.threads = threads;
+    ws.rings.reserve(num_shards);
+    ws.staged.resize(num_shards);
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      ws.rings.push_back(std::make_unique<SpscRing<LiveItem>>(ring_capacity));
+      ws.staged[s].reserve(pace.route_chunk);
+    }
+    ws.wakeups.reserve(threads);
+    for (std::size_t w = 0; w < threads; ++w)
+      ws.wakeups.push_back(std::make_unique<EventCount>());
+    ws.workers.reserve(threads);
+    try {
+      for (std::size_t w = 0; w < threads; ++w)
+        ws.workers.emplace_back([this, &ws, w] { worker_loop(ws, w); });
+    } catch (...) {
+      stop_workers(ws);
+      throw;
+    }
+  }
+
+  /// Raise the stop flag, wake and join every worker (each drains its
+  /// rings first), then fold every ring's backpressure into
+  /// shardN.pipeline.ring_backpressure and its occupancy into
+  /// pipeline.ring_occupancy (the threads have joined, so the reads are
+  /// exact). Returns the set's total backpressure.
+  std::uint64_t stop_workers(WorkerSet& ws) {
+    ws.ingest_done.store(true, std::memory_order_release);
+    for (auto& ec : ws.wakeups) ec->notify();
+    for (auto& worker : ws.workers) worker.join();
+    std::uint64_t backpressure = 0;
+    for (std::size_t s = 0; s < ws.rings.size(); ++s) {
+      const std::uint64_t stalled = ws.rings[s]->push_backpressure();
+      ingest_metrics_[s].ring_backpressure.add(stalled);
+      contention_.ring_occupancy.merge(ws.rings[s]->push_occupancy());
+      backpressure += stalled;
+    }
+    return backpressure;
+  }
+
+  /// The one worker-thread body: drain the owned rings through the
+  /// batched ingest fast path, rotating a shard at each epoch marker,
+  /// until the router stops; then flush each owned shard's pending
+  /// spill. Between productive passes it spin-yields for an adaptive
+  /// budget, then parks on its eventcount until the router's notify.
+  /// The budget halves after every unproductive park and restores to
+  /// the configured value on work, so an idle stream converges to
+  /// park-fast while a bursty one keeps spinning through the gaps.
+  void worker_loop(WorkerSet& ws, std::size_t w) {
+    const std::size_t num_shards = shards_.size();
+    const ResolvedPacing& pace = ws.pace;
+    EventCount& wakeup = *ws.wakeups[w];
+    std::vector<LiveItem> buf(kWorkerChunk);
+    std::vector<FlowId> batch;
+    batch.reserve(kWorkerChunk);
+
+    const auto process_items = [&](std::size_t s,
+                                   std::span<const LiveItem> items) {
+      batch.clear();
+      for (const auto& item : items) {
+        if (item.marker_seq_plus_1 == 0) {
+          batch.push_back(item.flow);
+          continue;
+        }
+        // Packets before the marker close out the current epoch.
+        if (!batch.empty()) {
+          shards_[s].ingest_batch(batch);
+          batch.clear();
+        }
+        rotate_shard(s, item.marker_seq_plus_1 - 1);
+      }
+      if (!batch.empty()) shards_[s].ingest_batch(batch);
+    };
+
+    const auto drain_pass = [&] {
+      bool any = false;
+      for (std::size_t s = w; s < num_shards; s += ws.threads) {
+        const std::size_t n =
+            ws.rings[s]->try_pop_bulk(std::span<LiveItem>(buf));
+        if (n > 0) {
+          tracing::TraceSpan span("live.pop_batch");
+          span.arg(n);
+          process_items(s, std::span<const LiveItem>(buf.data(), n));
+          ingest_metrics_[s].worker_batches.inc();
+          ingest_metrics_[s].batch_size.record(n);
+          any = true;
+        }
+      }
+      return any;
+    };
+    const auto is_done = [&] {
+      return ws.ingest_done.load(std::memory_order_acquire);
+    };
+
     std::size_t budget = pace.spin_iters;
     std::size_t idle = 0;
     for (;;) {
@@ -973,16 +870,135 @@ class ShardedPipeline {
       idle = 0;
       budget = budget / 2 > pace.spin_floor ? budget / 2 : pace.spin_floor;
     }
+    for (std::size_t s = w; s < num_shards; s += ws.threads)
+      shards_[s].drain_pending();
   }
 
-  /// Push everything in `pending` into `ring`, waking the owning
+  /// At an epoch marker, on shard s's worker: hand the shard's backend
+  /// to the finalizer and swap in the pre-built standby. Only
+  /// rotate_live() pushes markers, so a live session is active.
+  void rotate_shard(std::size_t s, std::uint64_t seq) {
+    LiveState& state = *live_;
+    std::unique_ptr<B> fresh;
+    {
+      auto& slot = *state.standby[s];
+      std::lock_guard<std::mutex> lock(slot.mu);
+      fresh = std::move(slot.sketch);
+    }
+    if (!fresh) {
+      // Rotation outpaced the finalizer's refill: build inline (the
+      // stall the standby_miss series flags).
+      live_metrics_.standby_miss.inc();
+      fresh = std::make_unique<B>(shard_configs_[s]);
+    }
+    auto closed = std::make_unique<B>(std::move(shards_[s]));
+    shards_[s] = std::move(*fresh);
+    {
+      std::lock_guard<std::mutex> lock(state.fq_mu);
+      state.fq.push_back(ClosedShard{seq, s, std::move(closed)});
+    }
+    state.fq_cv.notify_one();
+  }
+
+  /// The finalizer thread body: reassemble each epoch from the shards'
+  /// closed backends, then flush every shard in bounded chunks
+  /// (reporting backlog between steps), finalize, publish. Markers reach
+  /// shard s in rotation order and the finalizer pops in arrival order,
+  /// so epochs complete (and publish) in sequence. Returns once
+  /// stop_finalizer() has raised fq_done and the queue is drained.
+  void finalizer_loop(LiveState& state) {
+    const std::size_t shards = shards_.size();
+    std::map<std::uint64_t, std::vector<std::unique_ptr<B>>> pending;
+    std::map<std::uint64_t, std::size_t> arrived;
+    for (;;) {
+      ClosedShard item;
+      {
+        std::unique_lock<std::mutex> lock(state.fq_mu);
+        state.fq_cv.wait(
+            lock, [&] { return !state.fq.empty() || state.fq_done; });
+        if (state.fq.empty()) break;  // fq_done and drained
+        item = std::move(state.fq.front());
+        state.fq.pop_front();
+      }
+      // Refill this shard's standby first: the next rotation should
+      // find a prebuilt backend even while we are still flushing this
+      // one.
+      {
+        auto& slot = *state.standby[item.shard];
+        std::lock_guard<std::mutex> lock(slot.mu);
+        if (!slot.sketch)
+          slot.sketch = std::make_unique<B>(shard_configs_[item.shard]);
+      }
+      auto& epoch_shards = pending[item.seq];
+      if (epoch_shards.empty()) epoch_shards.resize(shards);
+      epoch_shards[item.shard] = std::move(item.sketch);
+      if (++arrived[item.seq] < shards) continue;
+
+      // Epoch complete. The flushed backend's instruments are archived
+      // before it dies — the session's shardN.* datapath metrics must
+      // keep counting across rotations.
+      tracing::TraceSpan finalize_span("live.finalize_epoch");
+      finalize_span.arg(item.seq);
+      std::vector<ShardSnapshot> snaps;
+      snaps.reserve(shards);
+      for (std::size_t sh = 0; sh < shards; ++sh) {
+        auto& sketch = epoch_shards[sh];
+        std::size_t remaining;
+        do {
+          remaining = sketch->flush_chunk(state.flush_chunk);
+          live_metrics_.flush_backlog.set(remaining);
+        } while (remaining > 0);
+        snaps.push_back(sketch->finalize());
+        retire_shard_metrics(sh, *sketch);
+      }
+      auto snap = std::make_shared<const Epoch>(item.seq, route_seed_,
+                                                std::move(snaps));
+      store_.publish(snap);
+      record_accuracy(*snap);
+      live_metrics_.rotations.inc();
+      live_metrics_.snapshots_retained.set(store_.retained());
+      if constexpr (metrics::kEnabled || tracing::kEnabled) {
+        clock_type::time_point t0;
+        {
+          std::lock_guard<std::mutex> lock(state.fq_mu);
+          t0 = state.marker_times[item.seq];
+          state.marker_times.erase(item.seq);
+        }
+        const std::uint64_t us = elapsed_us(t0);
+        live_metrics_.rotation_latency_us.record(us);
+        if (tracing::active()) {
+          // The marker was injected on the ingest thread; reconstruct
+          // the span end-anchored so it lands on this (finalizer)
+          // timeline.
+          const std::uint64_t end = tracing::now_ns();
+          tracing::emit("live.rotation_latency", end - us * 1000, end,
+                        item.seq);
+        }
+      }
+      pending.erase(item.seq);
+      arrived.erase(item.seq);
+    }
+  }
+
+  /// Let the finalizer drain what the workers handed it, then join it.
+  void stop_finalizer(LiveState& state) {
+    {
+      std::lock_guard<std::mutex> lock(state.fq_mu);
+      state.fq_done = true;
+    }
+    state.fq_cv.notify_all();
+    if (state.finalizer.joinable()) state.finalizer.join();
+  }
+
+  /// Push everything in `pending` into shard s's ring, waking the owning
   /// worker's eventcount after progress. The cold path (ring full)
   /// spins with yields, re-notifying each attempt — a parked worker
   /// that raced the fill is woken, so this can never livelock — and
   /// records the stall on the contention series.
-  template <typename Item>
-  void push_all(SpscRing<Item>& ring, EventCount& wakeup,
-                std::span<const Item> pending) {
+  void push_all(WorkerSet& ws, std::size_t s,
+                std::span<const LiveItem> pending) {
+    SpscRing<LiveItem>& ring = *ws.rings[s];
+    EventCount& wakeup = *ws.wakeups[s % ws.threads];
     pending = pending.subspan(ring.try_push_bulk(pending));
     if (pending.empty()) {
       wakeup.notify();
@@ -997,6 +1013,18 @@ class ShardedPipeline {
     }
     wakeup.notify();
     contention_.router_stall_us.record(elapsed_us(t0));
+  }
+
+  /// Route a packet batch into a worker set's rings: the radix-scatter
+  /// stage below, each full staging buffer bulk-pushed with a wake.
+  /// Leaves nothing staged.
+  void route(WorkerSet& ws, std::span<const FlowId> flows) {
+    route_batch(
+        flows, ws.staged, ws.pace,
+        [](FlowId f) { return LiveItem{f, 0}; },
+        [&](std::size_t s, std::span<const LiveItem> pending) {
+          push_all(ws, s, pending);
+        });
   }
 
   /// The radix-scatter routing stage: hash a chunk of packets in one
@@ -1115,58 +1143,10 @@ class ShardedPipeline {
     }
   }
 
-  /// One ring element: a packet, or an epoch marker sequencing a
-  /// rotation.
-  struct LiveItem {
-    FlowId flow = 0;
-    std::uint64_t marker_seq_plus_1 = 0;  ///< 0 = packet, else seq + 1
-  };
-
-  /// A shard backend handed from its worker to the finalizer at a
-  /// marker.
-  struct ClosedShard {
-    std::uint64_t seq = 0;
-    std::size_t shard = 0;
-    std::unique_ptr<B> sketch;
-  };
-
-  /// Pre-built fresh backend for one shard's next epoch. The worker
-  /// takes it at a marker; the finalizer refills it off the hot path.
-  /// The mutex is uncontended except in the instant of a rotation.
-  struct StandbySlot {
-    std::mutex mu;
-    std::unique_ptr<B> sketch;
-  };
-
-  struct LiveState {
-    LiveOptions options;
-    ResolvedPacing pace{};
-    std::size_t threads = 0;
-    std::vector<std::unique_ptr<SpscRing<LiveItem>>> rings;
-    std::vector<std::unique_ptr<EventCount>> wakeups;  ///< per worker
-    std::vector<std::unique_ptr<StandbySlot>> standby;
-    std::vector<std::vector<LiveItem>> staged;  ///< router-side staging
-    std::vector<std::thread> workers;
-    std::thread finalizer;
-    std::atomic<bool> ingest_done{false};
-
-    // Worker -> finalizer hand-off queue.
-    std::mutex fq_mu;
-    std::condition_variable fq_cv;
-    std::deque<ClosedShard> fq;
-    bool fq_done = false;
-
-    /// Marker-injection timestamps for the rotation-latency series
-    /// (guarded by fq_mu; only touched when metrics are enabled).
-    std::map<std::uint64_t, clock_type::time_point> marker_times;
-
-    std::uint64_t next_marker_seq = 0;  ///< router thread only
-  };
-
-  // Streaming-pipeline observability, aggregated over add_parallel()
-  // calls. Worker-side instruments are sharded (each shard is owned by
-  // exactly one worker per call) and atomic, so the roll-up is
-  // race-free.
+  // Per-shard ingest observability, aggregated over add_parallel()
+  // calls and live sessions. Worker-side instruments are sharded (each
+  // shard is owned by exactly one worker per worker set) and atomic, so
+  // the roll-up is race-free.
   struct ShardIngestMetrics {
     metrics::Counter packets_routed;     ///< packets staged to shard
     metrics::Counter ring_backpressure;  ///< stalled batches at the ring
@@ -1194,7 +1174,7 @@ class ShardedPipeline {
     metrics::Counter standby_miss;     ///< marker found no prebuilt one
     metrics::Counter packets_fed;      ///< packets routed by feed()
     metrics::Counter queries;          ///< query_live() calls served
-    metrics::Counter ring_backpressure;  ///< stalled batches (live rings)
+    metrics::Counter ring_backpressure;  ///< stalled batches, live rings only
     metrics::Histogram rotate_call_us;   ///< ingest stall per rotate
     metrics::Histogram rotation_latency_us;  ///< marker -> publish
     metrics::Gauge flush_backlog;      ///< units awaiting flush

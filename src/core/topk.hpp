@@ -5,9 +5,8 @@
 // that leaves the cache does so as an (flow, weight) eviction, and by
 // snapshot time the flush has evicted the cache-resident remainder too,
 // so the eviction stream carries each flow's full count. TopKTable
-// subscribes to that stream with a Space-Saving table (Metwally et al.
-// 2005 — the same structure as baselines/sampling/space_saving.hpp,
-// promoted here into the live datapath with weighted updates), optionally
+// subscribes to that stream with a weighted Space-Saving table (Metwally
+// et al. 2005; with RAP off it is the classic algorithm), optionally
 // hardened with RAP-style randomized admission (Ben-Basat et al. 2017):
 // when the table is full, an untracked flow offering weight w displaces
 // the minimum entry only with probability w / (min + w), which keeps

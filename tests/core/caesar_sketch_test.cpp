@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/random.hpp"
+#include "core/epoch_manager.hpp"
 
 namespace caesar::core {
 namespace {
@@ -272,6 +273,46 @@ TEST(CaesarSketch, RandomReplacementPolicyWorks) {
   for (Count i = 0; i < kPackets; ++i) sketch.add(rng.below(100));
   sketch.flush();
   EXPECT_EQ(sketch.sram().total(), kPackets);
+}
+
+// A closed epoch (finalize()) answers from its frozen SRAM exactly as the
+// flushed sketch does.
+CaesarConfig epoch_config() {
+  CaesarConfig c;
+  c.cache_entries = 128;
+  c.entry_capacity = 20;
+  c.num_counters = 5000;
+  c.counter_bits = 20;
+  c.seed = 3;
+  return c;
+}
+
+TEST(CaesarSketch, FinalizeOnEmptySketchSnapshotsZeroPackets) {
+  CaesarSketch sketch(epoch_config());
+  sketch.flush();
+  const EpochSnapshot snap = sketch.finalize();
+  EXPECT_EQ(snap.packets(), 0u);
+  EXPECT_LT(snap.estimate_csm(7), 1.0);
+}
+
+TEST(CaesarSketch, FinalizedFlowCountMatchesSketchEstimate) {
+  CaesarSketch sketch(epoch_config());
+  Xoshiro256pp rng(4);
+  for (int i = 0; i < 20'000; ++i) sketch.add(rng.below(400));
+  sketch.flush();
+  const EpochSnapshot snap = sketch.finalize();
+  // Every flow has ~50 >= k packets, so linear counting is in-regime.
+  EXPECT_NEAR(snap.estimate_flow_count(), 400.0, 40.0);
+  EXPECT_EQ(snap.estimate_flow_count(), sketch.estimate_flow_count());
+}
+
+TEST(CaesarSketch, FinalizedSnapshotAnswersMlm) {
+  CaesarSketch sketch(epoch_config());
+  for (int i = 0; i < 200; ++i) sketch.add(9);
+  sketch.flush();
+  const EpochSnapshot snap = sketch.finalize();
+  EXPECT_NEAR(snap.estimate_mlm(9), 200.0, 6.0);
+  EXPECT_EQ(snap.estimate_mlm(9), sketch.estimate_mlm(9));
 }
 
 }  // namespace

@@ -252,6 +252,37 @@ TEST(LiveRotation, SerialAndLiveRotationsShareOneSequence) {
   expect_identical(*c.snapshot_epoch(0), *c.snapshot_epoch(1));
 }
 
+// add_parallel() runs its own short-lived worker set: it publishes
+// nothing, leaves the retained epochs alone and ingests bit-identically
+// to a serial run.
+TEST(LiveRotation, AddParallelAfterSessionLeavesStoreAlone) {
+  constexpr std::size_t kShards = 4;
+  ShardedCaesar c(cfg(), kShards);
+  LiveOptions options;
+  options.max_epochs = 0;
+  c.start_live(options);
+  for (int e = 0; e < 3; ++e) c.rotate_live();
+  c.stop_live();
+
+  const auto trace = make_trace(30'000, 21);
+  c.add_parallel(trace, kShards);
+  ShardedCaesar serial(cfg(), kShards);
+  for (FlowId f : trace) serial.add(f);
+
+  EXPECT_EQ(c.epochs_closed(), 3u);
+  ASSERT_NE(c.snapshot_epoch(0), nullptr);
+  c.flush();
+  serial.flush();
+  EXPECT_EQ(c.packets(), serial.packets());
+  for (std::size_t s = 0; s < kShards; ++s) {
+    const auto& a = c.shard(s).sram();
+    const auto& b = serial.shard(s).sram();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::uint64_t i = 0; i < a.size(); ++i)
+      ASSERT_EQ(a.peek(i), b.peek(i)) << "shard " << s << " counter " << i;
+  }
+}
+
 TEST(LiveRotation, RestartedSessionContinuesWhereItStopped) {
   ShardedCaesar c(cfg(), 2);
   c.start_live(LiveOptions{.threads = 0, .max_epochs = 0});

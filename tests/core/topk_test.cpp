@@ -98,6 +98,27 @@ TEST(TopKTable, SpaceSavingOvercountBoundHoldsOnHeavyTail) {
   }
 }
 
+TEST(TopKTable, GuaranteesHeavyHittersTrackedWithoutRap) {
+  // Classic Space-Saving guarantee: any flow with true count > n/m is
+  // monitored.
+  constexpr std::size_t kCapacity = 32;
+  core::TopKTable table(table_config(kCapacity));
+  trace::TraceConfig tc;
+  tc.num_flows = 3000;
+  tc.mean_flow_size = 10.0;
+  tc.max_flow_size = 20000;
+  tc.seed = 6;
+  const auto t = trace::generate_trace(tc);
+  for (auto idx : t.arrivals()) table.offer(t.id_of(idx), 1);
+  const double threshold =
+      static_cast<double>(t.num_packets()) / kCapacity;
+  for (std::uint32_t i = 0; i < t.num_flows(); ++i) {
+    if (static_cast<double>(t.size_of(i)) > threshold) {
+      EXPECT_TRUE(table.tracked(t.id_of(i))) << "flow " << i;
+    }
+  }
+}
+
 TEST(TopKTable, DeterministicAcrossIdenticalReplays) {
   // Same offers, same config => bit-identical tables, with and without
   // randomized admission (the RNG is private and consumed in offer

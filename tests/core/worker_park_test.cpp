@@ -123,6 +123,33 @@ TEST(WorkerPark, MarkerInjectionWakesParkedWorkers) {
   pipeline.stop_live();
 }
 
+// Stopping a worker set folds every ring's backpressure into
+// shardN.pipeline.ring_backpressure; live.ring_backpressure counts the
+// live rings alone. With only live traffic the two series agree.
+TEST(WorkerPark, LiveBackpressureFoldsIntoPipelineSeries) {
+  ShardedCaesar pipeline(cfg(), 4);
+  LiveOptions options;
+  options.threads = 2;
+  options.ring_capacity = 64;  // below the staging length: pushes stall
+  options.pacing.spin_iters = 1;
+  pipeline.start_live(options);
+  const auto trace = make_trace(20'000, 5);
+  for (std::size_t b = 0; b < 20; ++b)
+    pipeline.feed(std::span<const FlowId>(trace).subspan(b * 1'000, 1'000));
+  pipeline.rotate_live();
+  pipeline.stop_live();
+
+  metrics::MetricsSnapshot snap;
+  pipeline.collect_metrics(snap);
+  if (snap.value("pipeline.router_stalls{backend=caesar}") > 0) {
+    const std::uint64_t backpressure =
+        snap.value("pipeline.ring_backpressure{backend=caesar}");
+    EXPECT_GT(backpressure, 0u);
+    EXPECT_EQ(backpressure,
+              snap.value("live.ring_backpressure{backend=caesar}"));
+  }
+}
+
 // Stopping a session whose workers are parked must not hang: the stop
 // path notifies every eventcount after raising the done flag.
 TEST(WorkerPark, StopWakesParkedWorkers) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,6 +16,11 @@ struct NamedHash {
   const char* name;
   HashFn fn;
 };
+
+// Without this, gtest prints the parameter as raw bytes, i.e. the two
+// pointers' load addresses, and the discovered test names change with
+// every build and run.
+void PrintTo(const NamedHash& h, std::ostream* os) { *os << h.name; }
 
 class ClassicHashTest : public ::testing::TestWithParam<NamedHash> {};
 
